@@ -613,10 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="SPEC",
             help="network-backend fleet config (with --backend network): an "
-            "integer N spawns N loopback worker processes; HOST:PORT "
+            "integer N launches N local worker processes; HOST:PORT "
             "listens there for external 'repro-im worker' hosts; extras: "
-            "min=K (hosts to wait for), ttl=SECONDS (heartbeat lease), "
-            "cache=DIR (worker blob cache) — e.g. "
+            "min=K (hosts to wait for), ttl=SECONDS (heartbeat lease) — e.g. "
             "--hosts 0.0.0.0:8700,min=2,ttl=15",
         )
 

@@ -6,15 +6,15 @@ six CSR arrays to offsets inside one contiguous byte blob and carries a
 **content hash** (SHA-256 of the laid-out blob), so any transport that can
 move bytes can move a graph:
 
-* the **process backend** lays the blob out in a POSIX shared-memory
-  segment (:func:`share_csr_graph`) and hands workers a
-  :class:`SharedCSRSpec` — the manifest plus the segment name; workers
-  attach zero-copy with :func:`attach_csr_graph`;
-* the **network backend** packs the same layout into plain bytes
-  (:func:`pack_csr_graph`), and remote worker hosts fetch the blob once,
-  verify it against ``manifest.content_hash``, cache it on disk *by
-  hash*, and rebuild the graph with :func:`unpack_csr_graph` — a host
-  that already holds the hash never fetches again.
+* workers the fleet coordinator launched on its own host attach a POSIX
+  shared-memory segment (:func:`share_csr_graph`): the coordinator hands
+  them a :class:`SharedCSRSpec` — the manifest plus the segment name —
+  and they attach zero-copy with :func:`attach_csr_graph`;
+* remote worker hosts get the same layout as plain bytes
+  (:func:`pack_csr_graph`): they fetch the blob once, verify it against
+  ``manifest.content_hash``, cache it on disk *by hash*, and rebuild the
+  graph with :func:`unpack_csr_graph` — a host that already holds the
+  hash never fetches again.
 
 Both paths produce byte-identical blobs, so the hash is one identity
 across transports: a graph served over shm and the same graph served
@@ -197,23 +197,20 @@ def share_csr_graph(
     return shm, spec
 
 
-def attach_csr_graph(
-    spec: SharedCSRSpec, *, shm: shared_memory.SharedMemory | None = None
-) -> tuple[CSRGraph, shared_memory.SharedMemory]:
+def attach_csr_graph(spec: SharedCSRSpec) -> tuple[CSRGraph, shared_memory.SharedMemory]:
     """Reconstruct a :class:`CSRGraph` from a shared-memory manifest.
 
     The returned graph's arrays are zero-copy views into the segment; the
     returned handle must stay alive (and be ``close()``-d, not unlinked)
-    by the caller.  Pass ``shm`` to reuse an already-attached handle.
+    by the caller.
     """
-    if shm is None:
-        try:
-            shm = shared_memory.SharedMemory(name=spec.shm_name)
-        except FileNotFoundError as exc:
-            raise GraphIOError(
-                f"shared CSR segment {spec.shm_name!r} does not exist "
-                "(owner exited or unlinked it?)"
-            ) from exc
+    try:
+        shm = shared_memory.SharedMemory(name=spec.shm_name)
+    except FileNotFoundError as exc:
+        raise GraphIOError(
+            f"shared CSR segment {spec.shm_name!r} does not exist "
+            "(owner exited or unlinked it?)"
+        ) from exc
     if shm.size < spec.total_bytes:
         raise GraphIOError(
             f"shared CSR segment {spec.shm_name!r} is {shm.size} bytes, "

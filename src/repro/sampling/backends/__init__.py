@@ -4,20 +4,22 @@
 implement the :class:`ExecutionBackend` contract; see
 :mod:`repro.sampling.backends.base` for the coordinator/worker protocol
 and the determinism guarantee (backend choice never changes the sampled
-RR stream).
+RR stream).  ``process`` and ``network`` are one worker fleet
+(:mod:`repro.sampling.backends.network`): ``process`` is that fleet
+self-hosted on loopback, ``network`` also admits remote worker hosts.
 """
 
 from __future__ import annotations
 
 from repro.exceptions import SamplingError
-from repro.sampling.backends.base import ExecutionBackend, WorkerSpec
+from repro.sampling.backends.base import ExecutionBackend, WorkerSpec, default_worker_count
 from repro.sampling.backends.network import (
     NetworkBackend,
+    ProcessBackend,
     parse_hosts_spec,
     run_worker,
     set_network_defaults,
 )
-from repro.sampling.backends.process import ProcessBackend, default_worker_count
 from repro.sampling.backends.serial import SerialBackend
 from repro.sampling.backends.thread import ThreadBackend
 

@@ -18,14 +18,16 @@ module pins down the contract between the coordinator
 Workers therefore carry **no stream state**: any worker can compute any
 set, the merged output is a pure function of the seed alone, and the
 fleet can be resized mid-stream (:meth:`ExecutionBackend.resize`)
-without changing a byte.  A backend swap (serial ↔ thread ↔ process)
-cannot change the stream either.  ``tests/sampling/test_backends.py``
-and ``tests/sampling/test_elastic.py`` enforce all of this.
+without changing a byte.  A backend swap (serial ↔ thread ↔ the
+process/network fleet) cannot change the stream either.
+``tests/sampling/test_backends.py`` and ``tests/sampling/test_elastic.py``
+enforce all of this.
 """
 
 from __future__ import annotations
 
 import abc
+import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -47,8 +49,8 @@ class WorkerSpec:
     draw each set's root from the set's own generator, so the
     distribution object must ship to them (picklable: it crosses the
     process boundary once, at startup).  The spec itself is cheap — only
-    the process backend pays the cost of shipping ``graph`` (once, via
-    shared memory).
+    the worker fleet pays the cost of shipping ``graph`` (once, via
+    shared memory to its own workers or as a blob to remote hosts).
     """
 
     graph: CSRGraph | None
@@ -58,7 +60,7 @@ class WorkerSpec:
     workers: int = 1
     roots: object | None = None
     max_hops: int | None = None
-    # Kernel *name* (not instance): it must survive pickling to process
+    # Kernel *name* (not instance): it must survive pickling to fleet
     # workers, and every worker must instantiate the same kernel or the
     # merged stream would silently mix draw orders.
     kernel: str | None = None
@@ -284,3 +286,11 @@ def unflatten_rr_batch(flat: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
     if sizes.size == 0:
         return []
     return np.split(flat, np.cumsum(sizes[:-1]))
+
+
+def default_worker_count() -> int:
+    """A sensible worker count for this machine (scheduler affinity aware)."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # non-Linux
+        return max(1, os.cpu_count() or 1)

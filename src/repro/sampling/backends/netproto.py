@@ -1,15 +1,14 @@
-"""Wire plumbing for the network execution backend.
+"""Wire plumbing for the worker fleet (the process and network backends).
 
 Frames are length-prefixed: an 8-byte big-endian payload size followed by
 a pickled Python object (numpy index/RR arrays ride pickle's buffer
-protocol, so a batch costs one serialization pass, same as the process
-backend's pipes).  Pickle makes this a **trusted-cluster** transport —
+protocol, so a batch costs one serialization pass).  Pickle makes this a **trusted-cluster** transport —
 the coordinator and its workers must live inside one security boundary,
 exactly like the rest of a sampling fleet (they already share graph
 bytes and code versions).  Do not expose a fleet port to untrusted
 networks.
 
-The module also holds the worker-side **blob cache**: graph blobs are
+The module also holds the remote-host **blob cache**: graph blobs are
 content-addressed (:class:`repro.graph.shm.GraphManifest`), so a worker
 host stores each fetched blob under its hash and never fetches the same
 graph twice — a rejoining host warm-starts from disk.  Cache entries are

@@ -1,20 +1,25 @@
-"""TCP network execution backend: a crash-proof multi-host sampling fleet.
+"""The worker fleet: one TCP coordinator for local and remote workers.
 
-This is ROADMAP item 1 — "one box, N cores" becomes "N boxes" — built on
-the two invariants the earlier PRs established:
+Both out-of-process backends are this one fleet.  ``network`` is the
+configurable form; ``process`` is the same fleet pinned to
+self-hosting on loopback.  The fleet rests on two invariants:
 
-* **seed-pure streams** (PR 5): RR set ``g`` is a pure function of
+* **seed-pure streams**: RR set ``g`` is a pure function of
   ``(seed, g)``, so any worker anywhere can compute any set and the
-  merged stream has no memory of *which* host computed what;
+  merged stream has no memory of *which* worker computed what;
 * **content-addressed graphs** (:mod:`repro.graph.shm`): the graph is
-  one hashed blob, so a host fetches it at most once and a rejoining
-  host warm-starts from its disk cache.
+  one hashed blob, so a remote host fetches it at most once and a
+  rejoining host warm-starts from its disk cache.
 
-Topology: the coordinator (this backend) listens on a TCP port; worker
-hosts dial in (``repro worker --connect HOST:PORT``), register under a
-**heartbeat lease**, fetch the graph blob by content hash if they do not
-already cache it, and then serve global-index batches over
-length-prefixed frames (:mod:`repro.sampling.backends.netproto`).
+Topology: the coordinator (this backend) listens on a TCP port; workers
+dial in (``repro worker --connect HOST:PORT`` on other boxes), register
+under a **heartbeat lease**, and then serve global-index batches over
+length-prefixed frames (:mod:`repro.sampling.backends.netproto`).  How
+the graph reaches a worker depends on one fact the coordinator knows:
+whether it launched that worker itself.  A launched worker runs on the
+coordinator's host and attaches the coordinator's shared-memory segment
+zero-copy; any other host fetches the blob, verifies its hash and
+caches it.
 
 Fault tolerance falls out of statelessness:
 
@@ -23,17 +28,16 @@ Fault tolerance falls out of statelessness:
   merged stream cannot tell the difference (byte-invisible churn);
 * a crashed or lease-expired host's **in-flight indices are retried on
   survivors byte-identically**; the crash context (lease, label, pid,
-  stderr tail for locally spawned hosts) lands in
+  and for launched workers the exit code and stderr tail) lands in
   :attr:`~repro.sampling.backends.base.ExecutionBackend.fault_log`
   instead of raising, and :attr:`respawns` counts replacement workers;
 * only a fleet with **no live hosts after a join grace period** — or a
   worker *reply* reporting an application error, which would recur on
   any host — surfaces a :class:`~repro.exceptions.SamplingError`.
 
-By default the backend is **self-hosting**: ``start`` spawns
-``spec.workers`` loopback ``repro worker`` subprocesses, so
-``--backend network`` works with zero orchestration and exercises the
-full TCP + blob-fetch + lease stack.  Pass ``spawn=0`` (CLI:
+By default the ``network`` backend self-hosts too: ``start`` launches
+``spec.workers`` local worker processes (``multiprocessing`` spawn, so
+scripts need a ``__main__`` guard).  Pass ``spawn=0`` (CLI:
 ``--hosts HOST:PORT,min=K``) to instead listen for externally started
 worker hosts.  The transport trusts its peers (pickle frames — see
 :mod:`~repro.sampling.backends.netproto`); keep fleet ports inside one
@@ -42,27 +46,35 @@ security boundary.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import queue
-import shutil
 import socket
-import subprocess
 import sys
 import tempfile
 import threading
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import SamplingError
-from repro.graph.shm import pack_csr_graph, unpack_csr_graph, verify_blob
+from repro.graph.shm import (
+    attach_csr_graph,
+    close_segment,
+    pack_csr_graph,
+    share_csr_graph,
+    unpack_csr_graph,
+    verify_blob,
+)
 from repro.sampling.backends.base import (
     ExecutionBackend,
     WorkerSpec,
     build_worker_sampler,
     flatten_rr_batch,
+    run_worker_batch,
     unflatten_rr_batch,
 )
 from repro.sampling.backends.netproto import (
@@ -75,24 +87,31 @@ from repro.sampling.backends.netproto import (
 )
 
 _STDERR_TAIL_BYTES = 2048
+_JOIN_TIMEOUT = 5.0
 # Consecutive all-fault dispatch rounds tolerated before the accumulated
 # crash context is raised (a crash *loop* must not retry forever).
 _MAX_BARREN_ROUNDS = 3
+# fault_log is diagnostics, not an audit trail; keep it bounded.
+_FAULT_LOG_LIMIT = 32
+
+#: Built-in fleet configuration; :class:`ProcessBackend` always uses it.
+_BUILTIN_DEFAULTS = MappingProxyType(
+    {
+        "listen": "127.0.0.1:0",
+        "spawn": None,  # None = auto: launch spec.workers local workers
+        "min_hosts": None,  # None = spawn target when self-hosting, else 0
+        "lease_ttl": 10.0,
+        "start_timeout": 60.0,
+        "join_grace": 30.0,
+    }
+)
 
 #: Module-level defaults for :class:`NetworkBackend` construction.  The
 #: CLI's ``--hosts`` flag rewrites these (via :func:`set_network_defaults`)
 #: so every ``make_backend("network")`` in the process — engine pools,
 #: benchmarks, services — picks up one fleet configuration without
 #: threading constructor arguments through every layer.
-_DEFAULTS: dict = {
-    "listen": "127.0.0.1:0",
-    "spawn": None,  # None = auto: spawn spec.workers loopback workers
-    "min_hosts": None,  # None = spawn target when self-hosting, else 0
-    "lease_ttl": 10.0,
-    "cache_dir": None,  # None = per-backend temp dir for spawned workers
-    "start_timeout": 60.0,
-    "join_grace": 30.0,
-}
+_DEFAULTS: dict = dict(_BUILTIN_DEFAULTS)
 
 
 def set_network_defaults(**overrides) -> dict:
@@ -115,13 +134,12 @@ def parse_hosts_spec(spec: "str | None") -> dict:
 
     Comma-separated tokens, each one of:
 
-    * an integer ``N`` — self-host: spawn N loopback ``repro worker``
-      subprocesses (``--hosts 2``);
+    * an integer ``N`` — self-host: launch N local worker processes
+      (``--hosts 2``);
     * ``HOST:PORT`` — listen there for externally started workers
       (``--hosts 0.0.0.0:8700``), implying ``spawn=0``;
     * ``min=K`` — wait for K registered hosts before sampling starts;
-    * ``ttl=SECONDS`` — heartbeat lease time-to-live;
-    * ``cache=DIR`` — blob cache directory handed to spawned workers.
+    * ``ttl=SECONDS`` — heartbeat lease time-to-live.
     """
     options: dict = {}
     if spec is None or not str(spec).strip():
@@ -136,13 +154,42 @@ def parse_hosts_spec(spec: "str | None") -> dict:
             options["min_hosts"] = int(token[len("min="):])
         elif token.startswith("ttl="):
             options["lease_ttl"] = float(token[len("ttl="):])
-        elif token.startswith("cache="):
-            options["cache_dir"] = token[len("cache="):]
         else:
             host, port = parse_address(token)  # raises ValueError on junk
             options["listen"] = f"{host}:{port}"
             options.setdefault("spawn", 0)
     return options
+
+
+@dataclass
+class _LaunchedWorker:
+    """A worker process this coordinator started on its own host."""
+
+    label: str
+    proc: "mp.process.BaseProcess"
+    stderr_path: str
+    host: "_HostLease | None" = None  # set when the worker registers
+
+    def stderr_tail(self) -> str:
+        try:
+            with open(self.stderr_path, "rb") as handle:
+                handle.seek(0, os.SEEK_END)
+                handle.seek(max(0, handle.tell() - _STDERR_TAIL_BYTES))
+                return handle.read().decode("utf-8", errors="replace").strip()
+        except OSError:
+            return ""
+
+    def reap(self) -> None:
+        """Join the process (terminating it if it lingers), drop its file."""
+        if self.proc.pid is not None:  # started
+            self.proc.join(timeout=_JOIN_TIMEOUT)
+            if self.proc.is_alive():
+                self.proc.terminate()
+                self.proc.join(timeout=_JOIN_TIMEOUT)
+        try:
+            os.unlink(self.stderr_path)
+        except OSError:
+            pass
 
 
 class _HostLease:
@@ -154,9 +201,14 @@ class _HostLease:
         self.peer = peer
         self.label = "?"
         self.pid: "int | None" = None
+        self.worker: "_LaunchedWorker | None" = None
         self.ready = False
         self.dead = False
-        self.death_reason = ""
+        # Set once a dead lease's fault record is written.  The dispatcher
+        # waits for it, so a crash is on record before the call that hit
+        # it returns, and a launched worker is reaped only after it (the
+        # reap deletes the stderr file the record reads).
+        self.retired = threading.Event()
         self.last_beat = time.monotonic()
         self.batches_dispatched = 0
         self.replies: "queue.Queue[tuple]" = queue.Queue()
@@ -173,36 +225,41 @@ class _HostLease:
         except OSError as exc:
             raise ConnectionClosed(str(exc)) from exc
 
-    def mark_dead(self, reason: str) -> bool:
+    def mark_dead(self) -> bool:
         """Retire the lease exactly once; returns True on the first call."""
         with self._death_lock:
             if self.dead:
                 return False
             self.dead = True
-            self.death_reason = reason
         # shutdown() before close(): close alone does not send FIN while
         # the reader thread is blocked in recv on this socket (the
         # in-flight syscall keeps the kernel socket alive), which would
         # leave both the reader and the remote worker hanging forever.
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-        self.replies.put(("gone", reason))
+        _shutdown_and_close(self.sock)
         return True
 
     def describe(self) -> str:
-        return f"host {self.label!r} (lease {self.lease_id}, pid {self.pid}, {self.peer})"
+        code = "" if self.worker is None else f", exitcode {self.worker.proc.exitcode}"
+        return f"host {self.label!r} (lease {self.lease_id}, pid {self.pid}{code}, {self.peer})"
+
+
+def _shutdown_and_close(sock: socket.socket) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
 class NetworkBackend(ExecutionBackend):
     """Coordinator for a TCP worker-host fleet under heartbeat leases."""
 
     name = "network"
+    #: where unset constructor options come from (``set_network_defaults``)
+    _defaults = _DEFAULTS
 
     def __init__(
         self,
@@ -211,20 +268,17 @@ class NetworkBackend(ExecutionBackend):
         spawn: "int | None" = None,
         min_hosts: "int | None" = None,
         lease_ttl: "float | None" = None,
-        cache_dir: "str | None" = None,
         start_timeout: "float | None" = None,
         join_grace: "float | None" = None,
     ) -> None:
         super().__init__()
-        pick = lambda value, key: _DEFAULTS[key] if value is None else value  # noqa: E731
+        pick = lambda value, key: self._defaults[key] if value is None else value  # noqa: E731
         self._listen_spec = pick(listen, "listen")
         self._spawn_cfg = pick(spawn, "spawn")
         self._min_hosts_cfg = pick(min_hosts, "min_hosts")
         self._lease_ttl = float(pick(lease_ttl, "lease_ttl"))
-        self._cache_dir = pick(cache_dir, "cache_dir")
         self._start_timeout = float(pick(start_timeout, "start_timeout"))
         self._join_grace = float(pick(join_grace, "join_grace"))
-        self._owns_cache_dir = False
         self._spawn_managed = True
         # Intended self-hosted fleet size.  Deliberately separate from
         # _spec.workers: sync_fleet shrinks the *partition width* to the
@@ -234,13 +288,14 @@ class NetworkBackend(ExecutionBackend):
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self._hosts: dict[int, _HostLease] = {}
+        self._launched: dict[str, _LaunchedWorker] = {}
         self._lease_seq = 0
         self._batch_seq = 0
-        self._spawn_seq = 0
-        self._spawn_procs: list[dict] = []
+        self._launch_seq = 0
         self._listener_sock: "socket.socket | None" = None
         self._threads: list[threading.Thread] = []
         self._stopping = threading.Event()
+        self._shm = None
         self._blob: "bytes | None" = None
         self._manifest = None
         self._wire_spec: "WorkerSpec | None" = None
@@ -256,26 +311,30 @@ class NetworkBackend(ExecutionBackend):
         return self._listener_sock.getsockname()[:2]
 
     def _start(self, spec: WorkerSpec) -> None:
-        self._blob, self._manifest = pack_csr_graph(
-            spec.graph, graph_version=spec.graph_version
-        )
-        # The graph travels as the content-addressed blob, never pickled
-        # inside the spec.
-        self._wire_spec = replace(spec, graph=None)
+        try:
+            host, port = parse_address(self._listen_spec)
+        except ValueError as exc:
+            raise SamplingError(str(exc)) from exc
         self._spawn_managed = self._spawn_cfg is None or self._spawn_cfg > 0
         spawn_target = spec.workers if self._spawn_cfg is None else int(self._spawn_cfg)
         self._fleet_target = spawn_target if self._spawn_managed else 0
         min_hosts = self._min_hosts_cfg
         if min_hosts is None:
             min_hosts = spawn_target if self._spawn_managed else 0
-        if self._spawn_managed and self._cache_dir is None:
-            self._cache_dir = tempfile.mkdtemp(prefix="rr-graph-cache-")
-            self._owns_cache_dir = True
+        # The graph travels as the content-addressed blob (or segment),
+        # never pickled inside the spec.
+        self._wire_spec = replace(spec, graph=None)
         try:
-            host, port = parse_address(self._listen_spec)
-        except ValueError as exc:
-            raise SamplingError(str(exc)) from exc
-        try:
+            if self._spawn_managed:
+                # Launched workers attach this segment; a remote host that
+                # joins anyway is served a copy of the same bytes.
+                self._shm, self._manifest = share_csr_graph(
+                    spec.graph, graph_version=spec.graph_version
+                )
+            else:
+                self._blob, self._manifest = pack_csr_graph(
+                    spec.graph, graph_version=spec.graph_version
+                )
             self._stopping.clear()
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -284,25 +343,12 @@ class NetworkBackend(ExecutionBackend):
             self._listener_sock = listener
             self._spawn_thread(self._accept_loop, "rr-net-accept")
             self._spawn_thread(self._reaper_loop, "rr-net-reaper")
-            if self._spawn_managed:
-                for _ in range(spawn_target):
-                    self._spawn_local_worker()
+            for _ in range(self._fleet_target):
+                self._launch_worker()
             if min_hosts > 0:
-                deadline = time.monotonic() + self._start_timeout
-                with self._cond:
-                    while len(self._ready_hosts_locked()) < min_hosts:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            raise SamplingError(
-                                f"network fleet startup timed out: "
-                                f"{len(self._ready_hosts_locked())}/{min_hosts} "
-                                f"host(s) registered on {self.address[0]}:"
-                                f"{self.address[1]} within {self._start_timeout:.0f}s"
-                                + self._fault_suffix()
-                            )
-                        self._cond.wait(min(0.1, remaining))
+                self.wait_for_hosts(min_hosts, self._start_timeout)
         except Exception:
-            self._teardown()
+            self._close()
             raise
 
     def _resize(self, workers: int) -> None:
@@ -315,13 +361,12 @@ class NetworkBackend(ExecutionBackend):
         live = self.live_hosts()
         if self._spawn_managed:
             self._fleet_target = workers
-        if workers > len(live):
-            if self._spawn_managed:
-                for _ in range(workers - len(live)):
-                    self._spawn_local_worker()
-            return
+            with self._cond:
+                launched = len(self._launched)
+            for _ in range(workers - launched):
+                self._launch_worker()
         for host in live[workers:]:
-            self._retire_host(host, "retired by resize")
+            self._retire_host(host, "retired by resize", fault=False)
 
     def sync_fleet(self) -> int:
         """Adopt the live lease count as the nominal worker count."""
@@ -334,48 +379,35 @@ class NetworkBackend(ExecutionBackend):
         return self._spec.workers
 
     def _close(self) -> None:
-        self._teardown()
-
-    def _teardown(self) -> None:
         self._stopping.set()
         if self._listener_sock is not None:
-            try:
-                self._listener_sock.close()
-            except OSError:
-                pass
+            # shutdown() wakes the accept thread; close() alone leaves it
+            # blocked in accept() until the thread join times out.
+            _shutdown_and_close(self._listener_sock)
         with self._cond:
             hosts = list(self._hosts.values())
+            launched = list(self._launched.values())
+            self._launched.clear()
         for host in hosts:
             if not host.dead:
                 try:
                     host.send(("close",))
                 except ConnectionClosed:
                     pass
-            host.mark_dead("backend closed")
-        for entry in self._spawn_procs:
-            proc = entry["proc"]
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                try:
-                    proc.wait(timeout=5)
-                except subprocess.TimeoutExpired:
-                    pass
-            self._remove_file(entry["stderr"])
+            self._retire_host(host, "backend closed", fault=False)
+        for worker in launched:
+            worker.reap()
         for thread in self._threads:
-            thread.join(timeout=5)
+            thread.join(timeout=_JOIN_TIMEOUT)
         self._threads = []
-        self._spawn_procs = []
         with self._cond:
             self._hosts.clear()
         self._listener_sock = None
         self._blob = None
         self._manifest = None
-        if self._owns_cache_dir and self._cache_dir is not None:
-            shutil.rmtree(self._cache_dir, ignore_errors=True)
-            self._cache_dir = None
-            self._owns_cache_dir = False
+        if self._shm is not None:
+            close_segment(self._shm, unlink=True)
+            self._shm = None
 
     def __del__(self) -> None:
         # Safety net for abandoned backends; normal paths call close().
@@ -397,7 +429,7 @@ class NetworkBackend(ExecutionBackend):
             try:
                 sock, peer = self._listener_sock.accept()
             except OSError:
-                return  # listener closed during teardown
+                return  # listener shut down during teardown
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             threading.Thread(
                 target=self._conn_loop,
@@ -414,13 +446,21 @@ class NetworkBackend(ExecutionBackend):
             if not (isinstance(hello, tuple) and hello and hello[0] == "hello"):
                 sock.close()
                 return
+            info = hello[1] if len(hello) > 1 and isinstance(hello[1], dict) else {}
             with self._cond:
                 self._lease_seq += 1
                 host = _HostLease(self._lease_seq, sock, peer)
-                info = hello[1] if len(hello) > 1 and isinstance(hello[1], dict) else {}
                 host.label = str(info.get("label") or f"host-{self._lease_seq}")
                 host.pid = info.get("pid")
+                # Launched-worker labels are minted by this coordinator,
+                # so a label match means the worker shares our host.
+                host.worker = self._launched.get(host.label)
+                if host.worker is not None:
+                    host.worker.host = host
                 self._hosts[host.lease_id] = host
+            segment = None
+            if host.worker is not None and self._shm is not None:
+                segment = self._manifest
             host.send(
                 (
                     "welcome",
@@ -429,6 +469,7 @@ class NetworkBackend(ExecutionBackend):
                         "lease_ttl": self._lease_ttl,
                         "spec": self._wire_spec,
                         "manifest": self._manifest,
+                        "segment": segment,
                     },
                 )
             )
@@ -436,7 +477,12 @@ class NetworkBackend(ExecutionBackend):
                 message = recv_frame(sock)
                 kind = message[0]
                 if kind == "fetch":
-                    host.send(("blob", self._blob))
+                    # A self-hosted fleet holds the graph only in its
+                    # segment, whose bytes are the packed blob.
+                    blob = self._blob
+                    if blob is None:
+                        blob = bytes(self._shm.buf[: self._manifest.total_bytes])
+                    host.send(("blob", blob))
                 elif kind == "ready":
                     with self._cond:
                         host.ready = True
@@ -446,9 +492,10 @@ class NetworkBackend(ExecutionBackend):
                 elif kind in ("result", "error"):
                     host.replies.put(message)
                 # anything else: ignore (forward-compatible)
+            self._retire_host(host, "backend closed", fault=False)
         except (ConnectionClosed, OSError) as exc:
             if host is not None:
-                self._retire_host(host, f"connection lost: {exc}")
+                self._retire_host(host, f"is gone: connection lost: {exc}")
             else:
                 try:
                     sock.close()
@@ -470,92 +517,97 @@ class NetworkBackend(ExecutionBackend):
                     if not host.dead and now - host.last_beat > self._lease_ttl
                 ]
             for host in expired:
-                reason = (
+                self._retire_host(
+                    host,
                     f"lease expired: no heartbeat for "
-                    f"{now - host.last_beat:.1f}s (ttl {self._lease_ttl:.1f}s)"
+                    f"{now - host.last_beat:.1f}s (ttl {self._lease_ttl:.1f}s)",
                 )
-                if host.ready:
-                    self._record_fault(host, reason)
-                self._retire_host(host, reason)
 
-    def _retire_host(self, host: _HostLease, reason: str) -> None:
-        if host.mark_dead(reason):
-            with self._cond:
-                self._cond.notify_all()
+    def _retire_host(self, host: _HostLease, reason: str, *, fault: bool = True) -> None:
+        """Retire a lease once; a fault on a ready host is logged first.
+
+        The record is written before the ``gone`` marker wakes the
+        dispatcher, so the crash context is complete by the time the
+        dispatcher replaces the worker.
+        """
+        if not host.mark_dead():
+            return
+        if fault and (host.ready or host.worker) and not self._stopping.is_set():
+            if host.worker is not None:
+                # Retirement closed the socket, so a launched worker is
+                # exiting; wait for it so the record carries its exit code.
+                host.worker.proc.join(timeout=_JOIN_TIMEOUT)
+            self._record_fault(host.describe(), reason, host.batches_dispatched, host.worker)
+        host.retired.set()
+        host.replies.put(("gone", reason))
+        with self._cond:
+            self._cond.notify_all()
 
     # ------------------------------------------------------------------
-    # Self-hosted loopback workers
+    # Launched workers
     # ------------------------------------------------------------------
-    def _spawn_local_worker(self) -> None:
-        """Launch one loopback ``repro worker`` subprocess."""
-        self._spawn_seq += 1
-        label = f"local-{self._spawn_seq}"
+    def _launch_worker(self) -> None:
+        """Start one local worker process that dials this coordinator.
+
+        A daemon ``multiprocessing`` child dies with its coordinator, and
+        its stderr goes to a scratch file whose tail rides along in the
+        fault record if it crashes.
+        """
+        self._launch_seq += 1
+        label = f"worker-{self._launch_seq}"
         handle = tempfile.NamedTemporaryFile(
-            prefix=f"rr-nethost-{label}-", suffix=".stderr", delete=False
+            prefix=f"rr-{label}-", suffix=".stderr", delete=False
         )
         handle.close()
         host, port = self.address
-        command = [
-            sys.executable,
-            "-m",
-            "repro",
-            "worker",
-            "--connect",
-            f"{host}:{port}",
-            "--label",
-            label,
-            "--retry",
-            "30",
-        ]
-        if self._cache_dir is not None:
-            command += ["--cache-dir", self._cache_dir]
-        env = dict(os.environ)
-        src_root = os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        proc = mp.get_context("spawn").Process(
+            target=_launched_worker_main,
+            args=(f"{host}:{port}", label, handle.name),
+            name=f"rr-worker-{label}",
+            daemon=True,
         )
-        env["PYTHONPATH"] = os.pathsep.join(
-            part for part in (src_root, env.get("PYTHONPATH")) if part
-        )
-        with open(handle.name, "ab") as stderr_handle:
-            proc = subprocess.Popen(
-                command,
-                stdout=subprocess.DEVNULL,
-                stderr=stderr_handle,
-                env=env,
-            )
-        self._spawn_procs.append({"proc": proc, "label": label, "stderr": handle.name})
+        worker = _LaunchedWorker(label, proc, handle.name)
+        # Registered before start: the child may dial in before start()
+        # returns, and its hello must find its label.
+        with self._cond:
+            self._launched[label] = worker
+        try:
+            proc.start()
+        except BaseException:
+            with self._cond:
+                del self._launched[label]
+            worker.reap()
+            raise
 
-    def _reap_spawned(self) -> None:
-        """Replace dead self-hosted workers up to the nominal fleet size."""
+    def _heal_fleet(self) -> None:
+        """Replace launched workers that died, up to the fleet target."""
         if not self._spawn_managed or self._stopping.is_set():
             return
-        for entry in [e for e in self._spawn_procs if e["proc"].poll() is not None]:
-            self._remove_file(entry["stderr"])
-            self._spawn_procs.remove(entry)
-        while len(self._spawn_procs) < self._fleet_target:
-            self._spawn_local_worker()
+        with self._cond:
+            launched = list(self._launched.values())
+        gone = [
+            w
+            for w in launched
+            if (w.host is not None and w.host.retired.is_set())
+            or (w.host is None and w.proc.exitcode is not None)
+        ]
+        for worker in gone:
+            if worker.host is None:
+                self._record_fault(
+                    f"worker {worker.label!r} (pid {worker.proc.pid}, "
+                    f"exitcode {worker.proc.exitcode})",
+                    "exited before registering",
+                    0,
+                    worker,
+                )
+            worker.reap()
+        with self._cond:
+            for worker in gone:
+                del self._launched[worker.label]
+            missing = self._fleet_target - len(self._launched)
+        for _ in range(missing):
+            self._launch_worker()
             self.respawns += 1
-
-    @staticmethod
-    def _remove_file(path: str) -> None:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
-    def _stderr_tail_for(self, label: str) -> str:
-        for entry in self._spawn_procs:
-            if entry["label"] != label:
-                continue
-            try:
-                with open(entry["stderr"], "rb") as handle:
-                    handle.seek(0, os.SEEK_END)
-                    size = handle.tell()
-                    handle.seek(max(0, size - _STDERR_TAIL_BYTES))
-                    return handle.read().decode("utf-8", errors="replace").strip()
-            except OSError:
-                return ""
-        return ""
 
     # ------------------------------------------------------------------
     # Live-set queries and fault context
@@ -587,38 +639,21 @@ class NetworkBackend(ExecutionBackend):
                 for h in sorted(self._hosts.values(), key=lambda h: h.lease_id)
             ]
 
-    def _record_fault(self, host: _HostLease, why: str) -> str:
-        fault = f"{host.describe()} {why}; batches dispatched to it: {host.batches_dispatched}"
-        tail = self._stderr_tail_for(host.label)
+    def _record_fault(
+        self, who: str, why: str, dispatched: int, worker: "_LaunchedWorker | None"
+    ) -> None:
+        fault = f"{who} {why}; batches dispatched to it: {dispatched}"
+        tail = worker.stderr_tail() if worker is not None else ""
         if tail:
             fault += f"; stderr tail:\n{tail}"
-        self.fault_log.append(fault)
-        del self.fault_log[:-32]
-        return fault
+        with self._cond:
+            self.fault_log.append(fault)
+            del self.fault_log[:-_FAULT_LOG_LIMIT]
 
     def _fault_suffix(self) -> str:
-        return ("; recent faults: " + " | ".join(self.fault_log[-3:])) if self.fault_log else ""
-
-    def _await_ready_hosts(self) -> list[_HostLease]:
-        """Block until at least one host is ready (or the grace expires)."""
-        deadline = time.monotonic() + self._join_grace
-        while True:
-            # Reap outside the lock: replacing a dead self-hosted worker
-            # forks a subprocess, far too slow to hold the fleet lock
-            # across (reader/reaper threads would stall behind the fork).
-            self._reap_spawned()
-            with self._cond:
-                hosts = self._ready_hosts_locked()
-                if hosts:
-                    return hosts
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise SamplingError(
-                        "network fleet has no live worker hosts (waited "
-                        f"{self._join_grace:.0f}s for a host to join)"
-                        + self._fault_suffix()
-                    )
-                self._cond.wait(min(0.1, remaining))
+        with self._cond:
+            recent = self.fault_log[-3:]
+        return ("; recent faults: " + " | ".join(recent)) if recent else ""
 
     # ------------------------------------------------------------------
     # Test hooks (fault injection)
@@ -632,29 +667,42 @@ class NetworkBackend(ExecutionBackend):
         self.live_hosts()[index].send(("pause_heartbeat",))
 
     def add_local_worker(self) -> None:
-        """Spawn one more loopback worker (mid-stream join tests / CLI)."""
+        """Launch one more local worker (mid-stream join tests / CLI)."""
         self._fleet_target += 1
-        self._spawn_local_worker()
+        self._launch_worker()
 
-    def wait_for_hosts(self, count: int, timeout: float = 30.0) -> None:
-        """Block until ``count`` hosts are registered and ready."""
+    def wait_for_hosts(self, count: int, timeout: float = 30.0) -> list[_HostLease]:
+        """Block until ``count`` hosts are ready; returns the live set.
+
+        Each pass also replaces dead launched workers, so waiting for
+        full strength drives the respawn loop.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            # As in _await_ready_hosts: subprocess respawn happens
-            # outside the lock, readiness is re-checked under it.
-            self._reap_spawned()
             with self._cond:
-                ready = len(self._ready_hosts_locked())
-                if ready >= count:
-                    return
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise SamplingError(
-                        f"waited {timeout:.0f}s but only "
-                        f"{ready}/{count} host(s) joined"
-                        + self._fault_suffix()
-                    )
-                self._cond.wait(min(0.1, remaining))
+                hosts = self._ready_hosts_locked()
+                settling = [h for h in self._hosts.values() if h.dead]
+            # Settle and heal after the snapshot: a host that died before
+            # it is on record and replaced now, one that dies after it
+            # fails its batch and is replaced after that round.  Launching
+            # happens outside the lock (spawning a process is far too slow
+            # to hold it across).
+            for host in settling:
+                host.retired.wait(2 * _JOIN_TIMEOUT)
+            self._heal_fleet()
+            if len(hosts) >= count:
+                return hosts
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                live = f"{len(hosts)}/{count}" if hosts else "no"
+                raise SamplingError(
+                    f"network fleet has {live} live worker hosts on "
+                    f"{self.address[0]}:{self.address[1]} (waited {timeout:.0f}s "
+                    "for hosts to join)" + self._fault_suffix()
+                )
+            with self._cond:
+                if len(self._ready_hosts_locked()) < count:
+                    self._cond.wait(min(0.1, remaining))
 
     # ------------------------------------------------------------------
     # Fan-out
@@ -664,54 +712,56 @@ class NetworkBackend(ExecutionBackend):
         index_batches: Sequence[np.ndarray],
         root_batches: "Sequence[np.ndarray | None] | None",
     ) -> list[list[np.ndarray]]:
-        # Flatten the coordinator's nominal partition into one pending map
-        # and re-partition it over the *live* lease set — possibly several
-        # times, as hosts crash, expire, or join mid-call.  Seed purity
-        # makes any assignment byte-equivalent, so retry is just
-        # reassignment.  Roots are carried per-index (-1 = "draw from the
-        # set's own generator") so mixed batches survive re-partitioning.
-        pending: dict[int, int] = {}
-        for w, batch in enumerate(index_batches):
-            roots = None if root_batches is None else root_batches[w]
-            for position, g in enumerate(batch):
-                pinned = -1 if roots is None else int(roots[position])
-                pending[int(g)] = pinned
-        results_by_index: dict[int, np.ndarray] = {}
+        # Flatten the coordinator's nominal partition into one index
+        # array and re-partition the still-pending *positions* over the
+        # live lease set — possibly several times, as hosts crash, expire,
+        # or join mid-call.  Seed purity makes any assignment
+        # byte-equivalent, so retry is just reassignment.  Roots ride
+        # per position (-1 = "draw from the set's own generator") so
+        # mixed batches survive re-partitioning.
+        sizes = [len(batch) for batch in index_batches]
+        indices = np.concatenate(
+            [np.asarray(batch, dtype=np.int64) for batch in index_batches]
+        )
+        roots = None
+        if root_batches is not None:
+            roots = np.concatenate(
+                [
+                    np.full(size, -1, dtype=np.int64) if r is None
+                    else np.asarray(r, dtype=np.int64)
+                    for size, r in zip(sizes, root_batches)
+                ]
+            )
+        results: list = [None] * indices.size
+        pending = np.arange(indices.size)
 
         barren_rounds = 0
-        while pending:
-            hosts = self._await_ready_hosts()
-            chunks = [
-                chunk
-                for chunk in np.array_split(
-                    np.asarray(sorted(pending), dtype=np.int64), len(hosts)
-                )
-                if len(chunk)
-            ]
+        while pending.size:
+            hosts = self.wait_for_hosts(1, self._join_grace)
             engaged: list[tuple[_HostLease, int, np.ndarray]] = []
             app_errors: list[str] = []
             crashed = False
-            for host, chunk in zip(hosts, chunks):
-                roots = np.asarray([pending[int(g)] for g in chunk], dtype=np.int64)
-                if (roots < 0).all():
-                    roots = None
+            for host, positions in zip(hosts, np.array_split(pending, len(hosts))):
+                if not positions.size:
+                    continue
+                chunk_roots = None if roots is None else roots[positions]
+                if chunk_roots is not None and (chunk_roots < 0).all():
+                    chunk_roots = None
                 self._batch_seq += 1
                 seq = self._batch_seq
                 try:
-                    host.send(("sample", seq, chunk, roots))
+                    host.send(("sample", seq, indices[positions], chunk_roots))
                 except ConnectionClosed as exc:
-                    self._record_fault(host, f"is gone: {exc}")
-                    self._retire_host(host, f"send failed: {exc}")
+                    self._retire_host(host, f"is gone: {exc}")
                     crashed = True
                     continue
                 host.batches_dispatched += 1
-                engaged.append((host, seq, chunk))
-            completed = 0
-            for host, seq, chunk in engaged:
+                engaged.append((host, seq, positions))
+            done = []
+            for host, seq, positions in engaged:
                 reply = host.replies.get()
                 if reply[0] == "gone":
-                    self._record_fault(host, f"died mid-batch: {reply[1]}")
-                    crashed = True
+                    crashed = True  # retirement already logged the fault
                     continue
                 if reply[0] == "error":
                     app_errors.append(f"{host.describe()} failed: {reply[2]}")
@@ -719,42 +769,58 @@ class NetworkBackend(ExecutionBackend):
                 if reply[1] != seq:
                     # A lease never has two batches in flight, so a stale
                     # sequence number means protocol corruption, not lag.
-                    self._record_fault(host, f"answered batch {reply[1]}, expected {seq}")
-                    self._retire_host(host, "out-of-sequence reply")
+                    self._retire_host(host, f"answered batch {reply[1]}, expected {seq}")
                     crashed = True
                     continue
-                for g, rr in zip(chunk, unflatten_rr_batch(reply[2], reply[3])):
-                    results_by_index[int(g)] = rr
-                    del pending[int(g)]
-                completed += len(chunk)
+                rr_sets = unflatten_rr_batch(reply[2], reply[3])
+                for position, rr in zip(positions.tolist(), rr_sets):
+                    results[position] = rr
+                done.append(positions)
             if app_errors:
                 # Deterministic worker-side failures recur on any host; all
                 # engaged replies were drained above, so raising is clean.
                 raise SamplingError("; ".join(app_errors))
+            if done:
+                pending = np.setdiff1d(pending, np.concatenate(done), assume_unique=True)
             if crashed:
-                self._reap_spawned()
-            barren_rounds = 0 if completed else barren_rounds + 1
-            if pending and barren_rounds > _MAX_BARREN_ROUNDS:
+                self._heal_fleet()
+            barren_rounds = 0 if done else barren_rounds + 1
+            if pending.size and barren_rounds > _MAX_BARREN_ROUNDS:
                 raise SamplingError(
                     "network fleet crash loop, retry budget exhausted"
                     + self._fault_suffix()
                 )
-        return [
-            [results_by_index[int(g)] for g in batch] for batch in index_batches
-        ]
+        bounds = np.cumsum([0] + sizes)
+        return [results[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-# ----------------------------------------------------------------------
-# Worker-host runtime (the `repro worker` subcommand)
-# ----------------------------------------------------------------------
-def _run_indexed_batch(sampler, indices: np.ndarray, roots: "np.ndarray | None"):
-    """Batch sampling with optional pinned roots (-1 = unpinned).
+class ProcessBackend(NetworkBackend):
+    """The fleet self-hosted on loopback: ``workers`` local processes.
 
-    Routes through ``sample_block`` so worker hosts get the batched
-    kernels' lockstep fast path; the -1 convention is the block API's
-    own, and the bytes per set equal ``sample_at``'s regardless.
+    Same coordinator, worker loop and fault path as
+    :class:`NetworkBackend`, with the configuration pinned to the
+    built-in defaults, so ``set_network_defaults`` / ``--hosts`` never
+    reach it.  Workers attach the graph's shared-memory segment.
     """
-    return sampler.sample_block(np.asarray(indices, dtype=np.int64), roots)
+
+    name = "process"
+    _defaults = _BUILTIN_DEFAULTS
+
+    def __init__(self) -> None:
+        super().__init__()
+
+
+# ----------------------------------------------------------------------
+# Worker runtime (launched workers and the `repro worker` subcommand)
+# ----------------------------------------------------------------------
+def _launched_worker_main(connect: str, label: str, stderr_path: str) -> None:
+    """Entry point of a worker process the coordinator launched."""
+    # Everything the worker (or a crashing libc/numpy) writes to fd 2
+    # lands in the coordinator's scratch file.
+    err_file = open(stderr_path, "a", buffering=1)
+    os.dup2(err_file.fileno(), 2)
+    sys.stderr = err_file
+    sys.exit(run_worker(connect, label=label))
 
 
 def run_worker(
@@ -768,10 +834,12 @@ def run_worker(
 
     Dials the coordinator (retrying for ``retry_for`` seconds, so workers
     may be launched before the coordinator is up), registers under a
-    heartbeat lease, fetches the graph blob unless ``cache_dir`` already
-    holds its content hash, and then serves index batches until the
-    coordinator closes the connection.  The worker holds **no stream
-    state** — it is safe to kill at any time and to start late.
+    heartbeat lease, and gets the graph: a worker the coordinator
+    launched attaches its shared-memory segment, any other host fetches
+    the blob unless ``cache_dir`` already holds its content hash.  It
+    then serves index batches until the coordinator closes the
+    connection.  The worker holds **no stream state** — it is safe to
+    kill at any time and to start late.
     """
     address = parse_address(connect)
     deadline = time.monotonic() + max(0.0, float(retry_for))
@@ -790,6 +858,7 @@ def run_worker(
     send_lock = threading.Lock()
     stop_beats = threading.Event()
     pause_beats = threading.Event()
+    shm = graph = sampler = None
 
     def send(message: tuple) -> None:
         with send_lock:
@@ -803,18 +872,29 @@ def run_worker(
         details = welcome[1]
         spec: WorkerSpec = details["spec"]
         manifest = details["manifest"]
+        segment = details.get("segment")
         lease_ttl = float(details["lease_ttl"])
 
-        blob = load_cached_blob(cache_dir, manifest)
-        if blob is None:
-            send(("fetch",))
-            reply = recv_frame(sock)
-            if not (isinstance(reply, tuple) and reply[0] == "blob"):
-                raise SamplingError(f"coordinator sent {reply!r} instead of the graph blob")
-            blob = reply[1]
-            verify_blob(manifest, blob)  # never sample over a corrupt fetch
-            store_cached_blob(cache_dir, manifest, blob)
-        graph = unpack_csr_graph(manifest, blob)
+        if segment is not None:
+            if segment.content_hash != manifest.content_hash:
+                raise SamplingError(
+                    f"shared segment holds graph {segment.content_hash[:16]}…, "
+                    f"coordinator serves {manifest.content_hash[:16]}…"
+                )
+            graph, shm = attach_csr_graph(segment)
+        else:
+            blob = load_cached_blob(cache_dir, manifest)
+            if blob is None:
+                send(("fetch",))
+                reply = recv_frame(sock)
+                if not (isinstance(reply, tuple) and reply[0] == "blob"):
+                    raise SamplingError(
+                        f"coordinator sent {reply!r} instead of the graph blob"
+                    )
+                blob = reply[1]
+                verify_blob(manifest, blob)  # never sample over a corrupt fetch
+                store_cached_blob(cache_dir, manifest, blob)
+            graph = unpack_csr_graph(manifest, blob)
         sampler = build_worker_sampler(spec, graph=graph)
 
         def heartbeat_loop() -> None:
@@ -839,7 +919,7 @@ def run_worker(
             if kind == "sample":
                 _, seq, indices, roots = message
                 try:
-                    rr_sets = _run_indexed_batch(sampler, indices, roots)
+                    rr_sets = run_worker_batch(sampler, indices, roots)
                     send(("result", seq) + flatten_rr_batch(rr_sets))
                 except Exception as exc:  # surface worker faults, keep serving
                     send(("error", seq, f"{type(exc).__name__}: {exc}"))
@@ -855,6 +935,10 @@ def run_worker(
             # anything else: ignore (forward-compatible)
     finally:
         stop_beats.set()
+        # Drop the graph views before detaching so mmap can actually close.
+        sampler = graph = None
+        if shm is not None:
+            close_segment(shm)
         try:
             sock.close()
         except OSError:

@@ -17,12 +17,12 @@ pluggable :class:`~repro.sampling.backends.base.ExecutionBackend`:
 * ``serial`` — workers run sequentially in-process (default; the old
   simulated topology);
 * ``thread`` — workers run on a persistent thread pool;
-* ``process`` — workers are persistent OS processes that attach the CSR
-  graph through shared memory and exchange only index/RR batches;
-* ``network`` — workers are remote hosts over TCP that fetch the graph
-  as a content-addressed blob and serve batches under heartbeat leases
-  (hosts may join, crash, or expire mid-stream; the coordinator
-  re-partitions over the live fleet and retries byte-identically).
+* ``process`` / ``network`` — one worker fleet over TCP under heartbeat
+  leases: ``process`` launches local worker processes that attach the
+  CSR graph through shared memory; ``network`` also admits remote hosts
+  that fetch the graph as a content-addressed blob (hosts may join,
+  crash, or expire mid-stream; the coordinator re-partitions over the
+  live fleet and retries byte-identically).
 
 Because workers hold no stream state, the merged stream is a pure
 function of the **seed alone** — independent of the backend, of how
@@ -90,6 +90,8 @@ class ShardedSampler(RRSampler):
     ) -> None:
         if workers < 1:
             raise SamplingError(f"need at least one worker, got {workers}")
+        # Before the base constructor: resolving kernel="auto" reads it.
+        self.model = DiffusionModel.parse(model)
         super().__init__(
             graph, seed, roots=roots, max_hops=max_hops, kernel=kernel,
             graph_version=graph_version,
@@ -107,7 +109,6 @@ class ShardedSampler(RRSampler):
                 "custom kernels must be registered in repro.sampling.kernels."
                 "KERNELS first"
             )
-        self.model = DiffusionModel.parse(model)
         self._workers = int(workers)
         self.backend = make_backend(backend)
         self.backend.start(

@@ -343,8 +343,8 @@ class TestProcessBackend:
         sampler = ShardedSampler(small_wc_graph, "LT", 2, seed=24, backend=backend)
         try:
             stream = [rr.tolist() for rr in sampler.sample_batch(6)]
-            backend._conns[0].send(("abort", "injected crash: disk on fire"))
-            backend._procs[0].join(timeout=10)
+            crashed = backend.live_hosts()[0]
+            backend.inject_abort(0, "injected crash: disk on fire")
             # The crash becomes an internal retry event, not an error: the
             # next two batches merge to the same bytes as the serial run.
             stream += [rr.tolist() for rr in sampler.sample_batch(6)]
@@ -352,8 +352,8 @@ class TestProcessBackend:
             assert stream == expected
             assert backend.respawns == 1
             message = "; ".join(backend.fault_log)
-            assert "worker 0" in message
-            assert "exitcode" in message and "pid" in message
+            assert repr(crashed.label) in message
+            assert f"pid {crashed.pid}" in message and "exitcode 70" in message
             assert "batches dispatched" in message
             assert "disk on fire" in message  # the stderr tail rode along
         finally:
@@ -372,8 +372,8 @@ class TestProcessBackend:
         try:
             stream = []
             for round_no in range(3):
-                backend._conns[round_no % 2].send(("abort", f"crash {round_no}"))
-                backend._procs[round_no % 2].join(timeout=10)
+                backend.wait_for_hosts(2, timeout=60.0)
+                backend.inject_abort(round_no % 2, f"crash {round_no}")
                 stream += [rr.tolist() for rr in sampler.sample_batch(10)]
             assert stream == expected
             assert backend.respawns == 3
@@ -403,6 +403,20 @@ class TestParallelAlgorithms:
         assert list(a.seeds) == list(b.seeds)
         assert a.influence == pytest.approx(b.influence)
         assert a.samples == b.samples
+
+    @pytest.mark.parametrize("backend", ["thread", "process", "network"])
+    def test_auto_kernel_on_parallel_backends_matches_serial(self, medium_wc_graph, backend):
+        """Regression: kernel="auto" with a parallel backend raised
+        AttributeError, because the sharded sampler resolved the kernel
+        before it had set its diffusion model."""
+        serial = dssa(medium_wc_graph, 5, epsilon=0.2, model="LT", seed=35, kernel="auto")
+        parallel = dssa(
+            medium_wc_graph, 5, epsilon=0.2, model="LT", seed=35, kernel="auto",
+            backend=backend, workers=2,
+        )
+        assert list(parallel.seeds) == list(serial.seeds)
+        assert parallel.samples == serial.samples
+        assert parallel.influence == serial.influence
 
     def test_ssa_runs_with_workers(self, medium_wc_graph):
         from repro.core.ssa import ssa

@@ -93,9 +93,9 @@ class TestWireProtocol:
             "min_hosts": 2,
             "lease_ttl": 15.0,
         }
-        assert parse_hosts_spec("cache=/tmp/blobs")["cache_dir"] == "/tmp/blobs"
-        with pytest.raises(ValueError):
-            parse_hosts_spec("not an address")
+        for bad in ("not an address", "cache=/tmp/blobs"):
+            with pytest.raises(ValueError):
+                parse_hosts_spec(bad)
 
 
 class TestBlobCache:
@@ -122,14 +122,13 @@ class TestBlobCache:
 class TestFleetChurn:
     """Crash, lease expiry, and join — stream bytes never move."""
 
-    def test_crash_expiry_and_join_are_byte_invisible(self, tmp_path):
+    def test_crash_expiry_and_join_are_byte_invisible(self):
         graph = _fleet_graph()
         expected = _serial_stream(graph, 47, 80)
 
         backend = NetworkBackend(
             spawn=2,
             lease_ttl=SHORT_TTL,
-            cache_dir=str(tmp_path),
             start_timeout=60.0,
             join_grace=60.0,
         )
@@ -165,18 +164,6 @@ class TestFleetChurn:
         finally:
             sampler.close()
         assert not backend.started
-
-    def test_worker_blob_cache_is_content_addressed(self, tmp_path):
-        graph = _fleet_graph()
-        _, manifest = pack_csr_graph(graph)
-        backend = NetworkBackend(spawn=1, cache_dir=str(tmp_path), start_timeout=60.0)
-        sampler = ShardedSampler(graph, "LT", 1, seed=48, backend=backend)
-        try:
-            sampler.sample_batch(4)
-            # The spawned worker stored the fetched blob under its hash.
-            assert (tmp_path / f"csr-{manifest.content_hash}.blob").exists()
-        finally:
-            sampler.close()
 
     def test_worker_application_error_raises_and_fleet_survives(self):
         graph = _fleet_graph()
@@ -222,6 +209,9 @@ class TestExternalHosts:
             stream = [rr.tolist() for rr in sampler.sample_batch(30)]
             assert stream == expected
             assert [h["label"] for h in backend.hosts_info()] == ["external-1"]
+            # The remote worker stored the fetched blob under its hash.
+            _, manifest = pack_csr_graph(graph)
+            assert (tmp_path / f"csr-{manifest.content_hash}.blob").exists()
         finally:
             sampler.close()  # the close frame releases the worker thread
             if worker is not None:
@@ -253,3 +243,19 @@ class TestExternalHosts:
             assert len(pickle.dumps(backend._wire_spec)) < len(backend._blob)
         finally:
             sampler.close()
+
+
+class TestTeardown:
+    @pytest.mark.parametrize("spawn", [2, 0])
+    def test_close_returns_promptly(self, spawn):
+        """Regression: close() waited out a 5 s join on the accept
+        thread, because closing the listener did not wake accept()."""
+        graph = _fleet_graph()
+        backend = NetworkBackend(spawn=spawn, min_hosts=None if spawn else 0)
+        sampler = ShardedSampler(graph, "LT", 2, seed=53, backend=backend)
+        if spawn:
+            sampler.sample_batch(8)
+        began = time.perf_counter()
+        sampler.close()
+        assert time.perf_counter() - began < 2.0
+        assert not backend.started
